@@ -24,7 +24,7 @@
 
 use cim_accel::AccelConfig;
 use cim_machine::units::SimTime;
-use cim_report::BenchReport;
+use cim_report::{BenchRecord, BenchReport};
 use cim_runtime::DispatchMode;
 use polybench::Dataset;
 use tdo_bench::{
@@ -115,8 +115,10 @@ fn main() {
     let serial = run_chain(&spec, &base, false, DispatchMode::Sync, "serial sgemm");
     let batched = run_chain(&spec, &base, true, DispatchMode::Sync, "batched sync");
     let asynch = run_chain(&spec, &base, true, DispatchMode::Async, "batched async");
-    let ref_bits: Vec<u32> = spec
-        .reference_outputs()
+    let ref_t0 = std::time::Instant::now();
+    let reference = spec.reference_outputs();
+    let reference_wall = ref_t0.elapsed();
+    let ref_bits: Vec<u32> = reference
         .into_iter()
         .filter(|(n, _)| spec.output_names().contains(n))
         .flat_map(|(_, d)| d.into_iter().map(|v| v.to_bits()).collect::<Vec<_>>())
@@ -278,6 +280,13 @@ fn main() {
                 ),
         );
     }
+    // The native reference's host time, so the wall gate covers the
+    // validation oracle as well as the simulation.
+    report.push(BenchRecord {
+        config: bench_config(None, None, Some(dataset), Some("reference")),
+        wall_ns: reference_wall.as_nanos() as f64,
+        ..BenchRecord::named("chain_reference")
+    });
     for (name, dispatch, r, wall) in [
         ("stream_unstreamed", "unstreamed-sync", &unstreamed, unstreamed_wall),
         ("stream_sync", "streamed-sync", &streamed, streamed_wall),

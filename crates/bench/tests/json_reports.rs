@@ -66,6 +66,8 @@ fn every_figure_binary_emits_valid_json() {
     );
     assert!(fig8.records.iter().any(|r| r.name.starts_with("chain_")));
     assert!(fig8.records.iter().any(|r| r.name.starts_with("stream_")));
+    let oracle = fig8.records.iter().find(|r| r.name == "chain_reference").expect("oracle record");
+    assert!(oracle.wall_ns > 0.0, "the oracle record carries its host time");
 
     let fig9 = run_and_validate(
         env!("CARGO_BIN_EXE_fig9_dataflow"),

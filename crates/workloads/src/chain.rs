@@ -23,7 +23,7 @@
 //! activation would change nothing structurally — any pointwise nest
 //! separates the groups the same way.
 
-use polybench::Dataset;
+use polybench::{gemm_panel_ref, Dataset};
 
 /// Shape of an inference chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -203,10 +203,12 @@ impl ChainSpec {
         src
     }
 
-    /// Reference outputs: every `H` array in layer-major order, computed
-    /// operation-for-operation like the source (same loop order, same
-    /// `f32` rounding points), so equivalence tests can require bitwise
-    /// equality against host and exact-fidelity CIM execution.
+    /// Reference outputs: every `H` array in layer-major order. Each
+    /// element sees the source's `f32` operations in the source's order
+    /// (`k` ascending, one rounding per multiply and per add, no fused
+    /// multiply-add), so equivalence tests can require bitwise equality
+    /// against host and exact-fidelity CIM execution. The head GEMMs run
+    /// in cache order through [`polybench::gemm_panel_ref`].
     pub fn reference_outputs(&self) -> Vec<(String, Vec<f32>)> {
         let (r, d) = (self.rows, self.width);
         let s = self.activation_scale();
@@ -224,14 +226,11 @@ impl ChainSpec {
                 let heads: Vec<Vec<f32>> = weights[l - 1]
                     .iter()
                     .map(|w| {
+                        // The source zeroes `p[i][j]`, then adds
+                        // `x[i][k] * w[k][j]`: beta 0 on a zeroed panel,
+                        // and alpha 1, whose `1 * x[i][k]` is exact.
                         let mut p = vec![0f32; r * d];
-                        for i in 0..r {
-                            for j in 0..d {
-                                for k in 0..d {
-                                    p[i * d + j] += x[i * d + k] * w[k * d + j];
-                                }
-                            }
-                        }
+                        gemm_panel_ref(x, w, &mut p, d, 1.0, 0.0);
                         p
                     })
                     .collect();
