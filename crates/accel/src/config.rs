@@ -110,13 +110,14 @@ pub struct AccelConfig {
     /// always parallel across tiles; this knob only de-serializes the
     /// DMA leg of [`crate::shard::InstallClock`].
     pub dma_channels: usize,
-    /// Host threads used to simulate independent tiles of one wave.
+    /// Host threads used to program the independent tile installs of one
+    /// wave (crossbar programming only; GEMV steps always run serially).
     /// `0` = auto (use the host's available parallelism when the wave is
     /// wide enough to pay for thread spawns), `1` = always serial, `n > 1`
-    /// = force exactly `n` workers whenever a wave has more than one
-    /// independent tile (used by the determinism tests). This is a
-    /// *simulator throughput* knob only: results, `AccelStats` and wear
-    /// counters are bit-for-bit identical for every setting.
+    /// = force exactly `n` workers whenever a wave installs more than one
+    /// tile (used by the determinism tests). This is a *simulator
+    /// throughput* knob only: results, `AccelStats` and wear counters are
+    /// bit-for-bit identical for every setting.
     pub sim_threads: usize,
 }
 
@@ -188,7 +189,7 @@ impl AccelConfig {
         AccelConfig { dma_channels: channels, ..self }
     }
 
-    /// Sets the host-side tile-simulation worker count (`0` = auto,
+    /// Sets the host-side install-programming worker count (`0` = auto,
     /// `1` = serial, `n > 1` = force `n` workers). Purely a simulator
     /// throughput knob — modeled results never depend on it.
     pub fn with_sim_threads(self, threads: usize) -> Self {

@@ -42,26 +42,25 @@ impl DmaEngine {
         self.stats = DmaStats::default();
     }
 
-    /// Reads `out.len() * 4` bytes of `f32`s from physical address `pa`.
-    /// Returns the burst time.
-    pub fn read_f32s(&mut self, mach: &mut Machine, pa: u64, out: &mut [f32]) -> SimTime {
-        let bytes = (out.len() * 4) as u64;
-        let mut raw = vec![0u8; out.len() * 4];
-        mach.uncached_read(pa, &mut raw);
-        for (i, chunk) in raw.chunks_exact(4).enumerate() {
-            out[i] = f32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
+    /// Charges one inbound burst of `bytes` on the bus.
+    fn burst_in(&mut self, mach: &mut Machine, bytes: u64) -> SimTime {
         let t = mach.bus.dma_burst(bytes, true);
         self.stats.bytes_in += bytes;
         self.stats.busy += t;
         t
     }
 
+    /// Reads `out.len() * 4` bytes of `f32`s from physical address `pa`.
+    /// Returns the burst time.
+    pub fn read_f32s(&mut self, mach: &mut Machine, pa: u64, out: &mut [f32]) -> SimTime {
+        mach.mem.read_f32_slice(pa, out);
+        self.burst_in(mach, (out.len() * 4) as u64)
+    }
+
     /// Reads a *strided* sequence: `count` f32s spaced `stride_elems`
     /// apart (used to gather a matrix column). One burst per element group
     /// is pessimistic, so this is modelled as a single burst of the
     /// gathered payload plus one setup.
-    #[allow(clippy::needless_range_loop)]
     pub fn read_f32s_strided(
         &mut self,
         mach: &mut Machine,
@@ -71,26 +70,53 @@ impl DmaEngine {
         out: &mut [f32],
     ) -> SimTime {
         assert!(out.len() >= count, "output buffer too small");
-        for i in 0..count {
-            let mut b = [0u8; 4];
-            mach.uncached_read(pa + (i * stride_elems * 4) as u64, &mut b);
-            out[i] = f32::from_le_bytes(b);
+        mach.mem.read_f32_strided(pa, stride_elems, &mut out[..count]);
+        self.burst_in(mach, (count * 4) as u64)
+    }
+
+    /// Gathers one install block of `op(A)` into crossbar orientation,
+    /// `g[k * mt + m] = op(A)[m][k]` for `k < kt`, `m < mt`, where `pa`
+    /// addresses the block's first element of the row-major source (row
+    /// stride `ld` elements) and `op(A) = A^T` when `transposed`.
+    ///
+    /// Modelled as one burst of `mt * 4` bytes per crossbar row — a row of
+    /// `A` when transposed, a strided column gather otherwise. Functionally
+    /// the source is read row by row either way: a non-transposed block is
+    /// read as `mt` runs of `kt` elements and transposed into `g`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn gather_block(
+        &mut self,
+        mach: &mut Machine,
+        pa: u64,
+        ld: usize,
+        kt: usize,
+        mt: usize,
+        transposed: bool,
+        g: &mut [f32],
+    ) {
+        assert_eq!(g.len(), kt * mt, "block buffer size mismatch");
+        if transposed {
+            for k in 0..kt {
+                mach.mem.read_f32_slice(pa + 4 * (k * ld) as u64, &mut g[k * mt..(k + 1) * mt]);
+            }
+        } else {
+            let mut run = vec![0f32; kt];
+            for m in 0..mt {
+                mach.mem.read_f32_slice(pa + 4 * (m * ld) as u64, &mut run);
+                for (k, v) in run.iter().enumerate() {
+                    g[k * mt + m] = *v;
+                }
+            }
         }
-        let bytes = (count * 4) as u64;
-        let t = mach.bus.dma_burst(bytes, true);
-        self.stats.bytes_in += bytes;
-        self.stats.busy += t;
-        t
+        for _ in 0..kt {
+            self.burst_in(mach, (mt * 4) as u64);
+        }
     }
 
     /// Writes `data` as little-endian `f32`s to physical address `pa`.
     pub fn write_f32s(&mut self, mach: &mut Machine, pa: u64, data: &[f32]) -> SimTime {
         let bytes = (data.len() * 4) as u64;
-        let mut raw = Vec::with_capacity(data.len() * 4);
-        for v in data {
-            raw.extend_from_slice(&v.to_le_bytes());
-        }
-        mach.uncached_write(pa, &raw);
+        mach.mem.write_f32_slice(pa, data);
         let t = mach.bus.dma_burst(bytes, false);
         self.stats.bytes_out += bytes;
         self.stats.busy += t;
@@ -106,10 +132,7 @@ impl DmaEngine {
             .chunks_exact(8)
             .map(|c| u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
             .collect();
-        let t = mach.bus.dma_burst(bytes, true);
-        self.stats.bytes_in += bytes;
-        self.stats.busy += t;
-        (vals, t)
+        (vals, self.burst_in(mach, bytes))
     }
 }
 

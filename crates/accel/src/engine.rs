@@ -25,7 +25,7 @@ use cim_machine::Machine;
 
 use crate::buffers::BufferKind;
 use crate::shard::{partition_grid, plan_waves, GridRegion, InstallClock, Wave};
-use crate::tile::{GemvReceipt, InstallReceipt, TileKey};
+use crate::tile::{InstallReceipt, TileKey};
 use crate::timeline::EventKind;
 use crate::CimAccelerator;
 
@@ -44,9 +44,6 @@ struct InstallJob {
     k0: usize,
     dma_t: SimTime,
 }
-
-/// One tile GEMV of a wave step: `(tile index, x offset, x length)`.
-type GemvUnit = (usize, usize, usize);
 
 /// Errors detected by the micro-engine while decoding a command.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -192,12 +189,13 @@ impl CimAccelerator {
         }
     }
 
-    /// How many host worker threads to simulate `units` independent tiles
-    /// of one wave with. `sim_threads = 0` engages the host's parallelism
-    /// only for paper-geometry tiles (small test crossbars would pay more
-    /// in thread spawns than they save); an explicit `n > 1` always
-    /// forces `n` workers so the determinism tests can exercise the
-    /// parallel path on any shape.
+    /// How many host worker threads to program `units` independent tile
+    /// installs of one wave with (GEMV steps always run serially: one
+    /// tile GEMV costs less than spawning its workers). `sim_threads = 0`
+    /// engages the host's parallelism only for paper-geometry tiles
+    /// (small test crossbars would pay more in thread spawns than they
+    /// save); an explicit `n > 1` always forces `n` workers so the
+    /// determinism tests can exercise the parallel path on any shape.
     fn tile_workers(&self, units: usize) -> usize {
         if units <= 1 {
             return 1;
@@ -263,33 +261,6 @@ impl CimAccelerator {
         receipts
     }
 
-    /// Computes one wave step's tile GEMVs ahead of the accounting loop,
-    /// in parallel, returning results in unit order. `None` means "stay
-    /// serial": the caller computes each GEMV inline at its original
-    /// program point. GEMV reads tiles immutably and never touches the
-    /// machine, so hoisting it off the accounting loop changes nothing
-    /// observable.
-    fn gemv_units(&self, units: &[GemvUnit], x: &[f32]) -> Option<Vec<(Vec<f32>, GemvReceipt)>> {
-        let workers = self.tile_workers(units.len());
-        if workers <= 1 {
-            return None;
-        }
-        let mut out: Vec<Option<(Vec<f32>, GemvReceipt)>> = Vec::new();
-        out.resize_with(units.len(), || None);
-        let chunk = units.len().div_ceil(workers);
-        let tiles = &self.tiles;
-        std::thread::scope(|s| {
-            for (uc, oc) in units.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                s.spawn(move || {
-                    for (&(idx, s0, len), slot) in uc.iter().zip(oc.iter_mut()) {
-                        *slot = Some(tiles[idx].gemv(&x[s0..s0 + len]));
-                    }
-                });
-            }
-        });
-        Some(out.into_iter().map(|o| o.expect("worker filled every slot")).collect())
-    }
-
     /// Installs one wave's missing blocks on the [`InstallClock`]
     /// schedule (serial DMA, parallel row programming). Returns the
     /// phase duration (zero when everything was resident). Lanes are
@@ -334,24 +305,17 @@ impl CimAccelerator {
                     continue;
                 }
                 // Gather op(A)[m0..m0+mt][k0..k0+kt] transposed into G.
+                let first = if p.trans_a { k0 * p.lda + m0 } else { m0 * p.lda + k0 };
                 let mut g = vec![0f32; kt * mt];
-                for r in 0..kt {
-                    if p.trans_a {
-                        // op(A)[m][k] = A[k][m]: row k0+r of A, cols m0..
-                        let base = p.a + 4 * ((k0 + r) * p.lda + m0) as u64;
-                        self.dma.read_f32s(mach, base, &mut g[r * mt..(r + 1) * mt]);
-                    } else {
-                        // op(A)[m][k] = A[m][k]: column k0+r of A, rows m0..
-                        let base = p.a + 4 * (m0 * p.lda + k0 + r) as u64;
-                        self.dma.read_f32s_strided(
-                            mach,
-                            base,
-                            mt,
-                            p.lda,
-                            &mut g[r * mt..(r + 1) * mt],
-                        );
-                    }
-                }
+                self.dma.gather_block(
+                    mach,
+                    p.a + 4 * first as u64,
+                    p.lda,
+                    kt,
+                    mt,
+                    p.trans_a,
+                    &mut g,
+                );
                 let tile_bytes = (kt * mt * 4) as u64;
                 let dma_t = self.bus_cfg.dma_time(tile_bytes);
                 // Per-tile DMA channel: the wave-local tile picks its
@@ -435,18 +399,6 @@ impl CimAccelerator {
             tiles_peak = tiles_peak.max(wave.tiles_active() as u64);
             t += self.install_wave(mach, p, region, cmd, wave, t0, t);
 
-            // The wave's tile GEMVs in accounting order — used to compute
-            // each step's results ahead of the serial loop when worker
-            // threads are engaged.
-            let mut units: Vec<GemvUnit> = Vec::with_capacity(wave.tiles_active());
-            for ms in &wave.m_spans {
-                for ks in &wave.k_spans {
-                    let idx =
-                        self.tile_index((region.origin.0 + ks.lane, region.origin.1 + ms.lane));
-                    units.push((idx, ks.lane * tr, ks.len));
-                }
-            }
-
             let reads_c = !(wave.first_k && p.beta == 0.0);
             for j in 0..p.n {
                 // Stream column j of B: one segment per reduction lane,
@@ -458,7 +410,6 @@ impl CimAccelerator {
                     self.dma.read_f32s_strided(mach, bbase, ks.len, p.ldb, seg);
                     in_bytes += (ks.len * 4) as u64;
                 }
-                let mut precomputed = self.gemv_units(&units, &x).map(Vec::into_iter);
                 let mut out_bytes = 0u64;
                 for ms in &wave.m_spans {
                     let (m0, mt) = (ms.start, ms.len);
@@ -478,10 +429,7 @@ impl CimAccelerator {
                         let idx =
                             self.tile_index((region.origin.0 + ks.lane, region.origin.1 + ms.lane));
                         let seg = &x[ks.lane * tr..ks.lane * tr + ks.len];
-                        let (y, receipt) = match precomputed.as_mut() {
-                            Some(it) => it.next().expect("one result per unit"),
-                            None => self.tiles[idx].gemv(seg),
-                        };
+                        let (y, receipt) = self.tiles[idx].gemv(seg);
                         // Accumulate the partial column; lanes beyond the
                         // first cost one extra adder pass in the digital
                         // block.
@@ -507,11 +455,8 @@ impl CimAccelerator {
                             );
                         }
                     }
-                    // Scatter back (strided store, element-wise).
-                    for i in 0..mt {
-                        let addr = cbase + 4 * (i * p.ldc) as u64;
-                        mach.uncached_write(addr, &cseg[i].to_le_bytes());
-                    }
+                    // Scatter back (strided store).
+                    mach.mem.write_f32_strided(cbase, p.ldc, &cseg[..mt]);
                     out_bytes += (mt * 4 * if reads_c { 2 } else { 1 }) as u64;
                 }
                 let (step, dma_t) = self.gemv_step_time(in_bytes, out_bytes);

@@ -236,6 +236,12 @@ impl CimAccelerator {
         &self.stats
     }
 
+    /// DMA-engine traffic and bus time since the last
+    /// [`CimAccelerator::reset_stats`].
+    pub fn dma_stats(&self) -> dma::DmaStats {
+        self.dma.stats()
+    }
+
     /// Resets statistics (not residency or the timeline).
     pub fn reset_stats(&mut self) {
         self.stats = AccelStats::default();

@@ -11,8 +11,7 @@
 
 use cim_pcm::adc::full_scale_for;
 use cim_pcm::quant::{
-    quantize_tensor, recombine_dot, split_nibbles, to_offset, QuantParams,
-    RECOMBINE_ALU_OPS_PER_COLUMN,
+    max_abs, recombine_dot, split_nibbles, to_offset, QuantParams, RECOMBINE_ALU_OPS_PER_COLUMN,
 };
 use cim_pcm::{AdcArray, Crossbar, Fidelity};
 
@@ -95,7 +94,10 @@ pub struct GemvReceipt {
 }
 
 /// One computational memory tile.
-#[derive(Debug, Clone)]
+///
+/// Tiles compare equal when every stored level, per-device wear count,
+/// shadow value and residency field matches.
+#[derive(Debug, Clone, PartialEq)]
 pub struct CimTile {
     rows: usize,
     cols: usize,
@@ -163,28 +165,24 @@ impl CimTile {
         if self.resident.as_ref() == Some(&key) {
             return InstallReceipt { rows_programmed: 0, cells_written: 0, resident_hit: true };
         }
-        let (params, q) = quantize_tensor(g);
+        let params = QuantParams::from_max_abs(max_abs(g));
         self.weight_params = params;
-        let mut msb_levels = vec![0u8; self.cols];
-        let mut lsb_levels = vec![0u8; self.cols];
-        // The column buffers supply a column-enable mask (Section II-B), so
-        // only the active columns are programmed.
-        let mask: Vec<bool> = (0..self.cols).map(|c| c < out_dim).collect();
+        // The column buffers supply a column-enable mask (Section II-B),
+        // so only the `out_dim` active bit lines are programmed. Each row
+        // is quantized, nibble-split and mirrored into the shadow in one
+        // pass over its source run.
+        let mut msb_row = vec![0u8; out_dim];
+        let mut lsb_row = vec![0u8; out_dim];
         for r in 0..in_dim {
-            for c in 0..out_dim {
-                let (m, l) = split_nibbles(to_offset(q[r * out_dim + c]));
-                msb_levels[c] = m;
-                lsb_levels[c] = l;
+            let src = &g[r * out_dim..(r + 1) * out_dim];
+            for ((v, m), l) in src.iter().zip(&mut msb_row).zip(&mut lsb_row) {
+                (*m, *l) = split_nibbles(to_offset(params.quantize(*v)));
             }
             // Both nibble arrays share row drivers and program in lockstep;
             // latency is one row-program, energy covers the 8-bit cells.
-            self.msb.program_row_masked(r, &msb_levels, &mask);
-            self.lsb.program_row_masked(r, &lsb_levels, &mask);
-        }
-        for r in 0..in_dim {
-            for c in 0..out_dim {
-                self.shadow[r * self.cols + c] = g[r * out_dim + c];
-            }
+            self.msb.program_row_prefix(r, &msb_row);
+            self.lsb.program_row_prefix(r, &lsb_row);
+            self.shadow[r * self.cols..r * self.cols + out_dim].copy_from_slice(src);
         }
         self.active = (in_dim, out_dim);
         self.resident = Some(key);
@@ -243,8 +241,7 @@ impl CimTile {
         // padded row buffer and the offset-term input sum — no
         // intermediate `Vec<i8>`. The arithmetic (and therefore every
         // quantized value) is identical to `quantize_tensor`.
-        let max_abs = input.iter().fold(0.0f32, |m, v| m.max(v.abs()));
-        let x_params = QuantParams::from_max_abs(max_abs);
+        let x_params = QuantParams::from_max_abs(max_abs(input));
         // Row buffer latches the inputs; pad to the full word-line count.
         let mut x = vec![0i32; self.rows];
         let mut x_sum: i64 = 0;
@@ -286,6 +283,7 @@ impl CimTile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cim_pcm::quant::quantize_tensor;
 
     fn key(gen: u64) -> TileKey {
         TileKey {
@@ -367,6 +365,36 @@ mod tests {
             // Error bound: |w|max/127 * sum|x| + |x|max/127 * sum|w| (loose).
             assert!((acc - *yc as f64).abs() < 0.2, "col {cidx}: int8 {yc} vs exact {acc}");
         }
+    }
+
+    #[test]
+    fn install_programs_the_active_prefix_from_the_quantized_tensor() {
+        // A full 8x8 operand, then a 4x3 one: only the 4x3 corner is
+        // reprogrammed, with the levels `quantize_tensor` gives.
+        let mut t = CimTile::new(&cfg());
+        let full: Vec<f32> = (0..64).map(|i| (i % 9) as f32 - 4.0).collect();
+        t.install(TileKey { extent: (8, 8), ..key(0) }, &full, 8, 8);
+        let g: Vec<f32> = (0..12).map(|i| i as f32 * 0.37 - 2.0).collect();
+        t.install(key(1), &g, 4, 3);
+        let (_, q_full) = quantize_tensor(&full);
+        let (params, q) = quantize_tensor(&g);
+        assert_eq!(t.weight_params, params);
+        for r in 0..8 {
+            for c in 0..8 {
+                let active = r < 4 && c < 3;
+                let (qv, x) = if active {
+                    (q[r * 3 + c], g[r * 3 + c])
+                } else {
+                    (q_full[r * 8 + c], full[r * 8 + c])
+                };
+                let (m, l) = split_nibbles(to_offset(qv));
+                assert_eq!((t.msb.level(r, c), t.lsb.level(r, c)), (m, l), "cell ({r},{c})");
+                assert_eq!(t.msb.cell_writes(r, c), 1 + active as u64, "cell ({r},{c})");
+                assert_eq!(t.shadow[r * 8 + c], x, "shadow ({r},{c})");
+            }
+        }
+        assert_eq!(t.msb.wear().row_programs, 8 + 4);
+        assert_eq!(t.lsb.wear(), t.msb.wear());
     }
 
     #[test]

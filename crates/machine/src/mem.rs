@@ -222,6 +222,31 @@ impl PhysMem {
         }
     }
 
+    /// Reads `out.len()` `f32`s spaced `stride` elements apart, starting
+    /// at `addr`: a matrix column gather. A unit stride takes the
+    /// [`PhysMem::read_f32_slice`] path; otherwise each element is one
+    /// [`PhysMem::read_f32`]. Traffic counts `4 * out.len()` bytes either
+    /// way.
+    pub fn read_f32_strided(&mut self, addr: u64, stride: usize, out: &mut [f32]) {
+        if stride == 1 {
+            return self.read_f32_slice(addr, out);
+        }
+        for (i, slot) in out.iter_mut().enumerate() {
+            *slot = self.read_f32(addr + 4 * (i * stride) as u64);
+        }
+    }
+
+    /// Writes `data` as `f32`s spaced `stride` elements apart, starting at
+    /// `addr` — the scatter counterpart of [`PhysMem::read_f32_strided`].
+    pub fn write_f32_strided(&mut self, addr: u64, stride: usize, data: &[f32]) {
+        if stride == 1 {
+            return self.write_f32_slice(addr, data);
+        }
+        for (i, v) in data.iter().enumerate() {
+            self.write_f32(addr + 4 * (i * stride) as u64, *v);
+        }
+    }
+
     /// Number of frames currently materialized (for tests / diagnostics).
     pub fn resident_frames(&self) -> usize {
         self.frames.iter().filter(|f| f.is_some()).count()
@@ -295,6 +320,24 @@ mod tests {
         let mut out = vec![0f32; 8];
         m.read_f32_slice(13, &mut out);
         assert_eq!(out, &data[..8]);
+    }
+
+    #[test]
+    fn strided_helpers_match_scalar_accesses() {
+        let mut m = PhysMem::new(1 << 20);
+        let data: Vec<f32> = (0..24).map(|i| i as f32 * 1.5 - 4.0).collect();
+        // Stride 300 elements crosses a frame boundary every few elements.
+        for (stride, base) in [(1usize, FRAME_BYTES as u64 - 8), (3, 0x40), (300, 0x2000)] {
+            m.write_f32_strided(base, stride, &data);
+            for (i, v) in data.iter().enumerate() {
+                assert_eq!(m.read_f32(base + 4 * (i * stride) as u64), *v);
+            }
+            let before = m.stats();
+            let mut out = vec![0f32; data.len()];
+            m.read_f32_strided(base, stride, &mut out);
+            assert_eq!(out, data);
+            assert_eq!(m.stats().bytes_read - before.bytes_read, 4 * data.len() as u64);
+        }
     }
 
     #[test]

@@ -46,6 +46,25 @@ impl CellConfig {
         let max = (self.levels() - 1) as f64;
         self.g_min_us + (self.g_max_us - self.g_min_us) * level as f64 / max
     }
+
+    /// Senses a device at `level`, in microsiemens: the ideal conductance,
+    /// perturbed by programming noise drawn from `rng` when `noise_sigma`
+    /// is positive and an RNG is supplied (two draws per read). The one
+    /// sensing model behind [`PcmCell::conductance_us`] and the crossbar's
+    /// analog GEMV.
+    pub fn sense_us<R: Rng + ?Sized>(&self, level: u8, rng: Option<&mut R>) -> f64 {
+        let ideal = self.conductance_us(level);
+        match (self.noise_sigma > 0.0, rng) {
+            (true, Some(rng)) => {
+                // Box-Muller standard normal.
+                let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+                let u2: f64 = rng.gen_range(0.0..1.0);
+                let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+                (ideal * (1.0 + self.noise_sigma * z)).max(0.0)
+            }
+            _ => ideal,
+        }
+    }
 }
 
 /// One phase-change memory cell.
@@ -93,10 +112,8 @@ impl PcmCell {
         pulses
     }
 
-    /// Programs the cell without materializing the pulse train — the hot
-    /// path for row-granular installs, where the per-cell `Vec<Pulse>` of
-    /// [`PcmCell::program`] would dominate the simulator's wall clock.
-    /// Wear and stored level are identical to `program`.
+    /// Programs the cell without materializing the pulse train. Wear and
+    /// stored level are identical to [`PcmCell::program`].
     ///
     /// # Panics
     ///
@@ -111,17 +128,7 @@ impl PcmCell {
     /// Senses the conductance in microsiemens, optionally with programming
     /// noise drawn from `rng`.
     pub fn conductance_us<R: Rng + ?Sized>(&self, cfg: &CellConfig, rng: Option<&mut R>) -> f64 {
-        let ideal = cfg.conductance_us(self.level);
-        match (cfg.noise_sigma > 0.0, rng) {
-            (true, Some(rng)) => {
-                // Box-Muller standard normal.
-                let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-                let u2: f64 = rng.gen_range(0.0..1.0);
-                let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-                (ideal * (1.0 + cfg.noise_sigma * z)).max(0.0)
-            }
-            _ => ideal,
-        }
+        cfg.sense_us(self.level, rng)
     }
 
     /// Whether the cell has exceeded the given endurance budget (writes).

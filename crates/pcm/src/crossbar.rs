@@ -11,7 +11,7 @@
 //! * [`Crossbar::analog_gemv`] — conductance-domain accumulation with
 //!   optional programming noise, used to study analog non-idealities.
 
-use crate::cell::{CellConfig, PcmCell};
+use crate::cell::CellConfig;
 use rand::Rng;
 
 /// Wear statistics of a crossbar.
@@ -27,18 +27,18 @@ pub struct WearStats {
 
 /// A `rows x cols` array of multi-level PCM cells.
 ///
-/// Besides the cell array (which carries per-device wear), the crossbar
-/// keeps a packed copy of the stored levels (`levels[r * cols + c]`, one
-/// byte per device). The compute path walks the packed array instead of
-/// the 16-byte cell structs, which matters for simulator throughput: a
-/// 256x256 GEMV touches 64 KiB of cells but only 4 KiB of packed levels.
-#[derive(Debug, Clone)]
+/// Stored struct-of-arrays: `levels[r * cols + c]` holds each device's
+/// level (one byte) and `writes[r * cols + c]` its program count. The
+/// state per device is that of a [`crate::PcmCell`], but the compute path
+/// walks only the packed levels — a 256x256 GEMV touches 64 KiB — and
+/// row programming writes two dense runs.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Crossbar {
     rows: usize,
     cols: usize,
     cfg: CellConfig,
-    cells: Vec<PcmCell>,
     levels: Vec<u8>,
+    writes: Vec<u64>,
     row_programs: u64,
 }
 
@@ -54,8 +54,8 @@ impl Crossbar {
             rows,
             cols,
             cfg,
-            cells: vec![PcmCell::new(); rows * cols],
             levels: vec![0u8; rows * cols],
+            writes: vec![0u64; rows * cols],
             row_programs: 0,
         }
     }
@@ -80,12 +80,20 @@ impl Crossbar {
         r * self.cols + c
     }
 
+    fn check_level(&self, level: u8) {
+        assert!((level as u16) < self.cfg.levels(), "level {level} out of range");
+    }
+
     /// Programs a single cell.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cell or the level is out of range.
     pub fn program_cell(&mut self, r: usize, c: usize, level: u8) {
         let i = self.idx(r, c);
-        let cfg = self.cfg;
-        self.cells[i].program_level(&cfg, level);
+        self.check_level(level);
         self.levels[i] = level;
+        self.writes[i] += 1;
     }
 
     /// Programs one full row from `levels` (column-buffer contents with the
@@ -94,16 +102,26 @@ impl Crossbar {
     ///
     /// # Panics
     ///
-    /// Panics if `levels.len() != cols`.
+    /// Panics if `levels.len() != cols` or a level is out of range.
     pub fn program_row(&mut self, r: usize, levels: &[u8]) {
         assert_eq!(levels.len(), self.cols, "row width mismatch");
+        self.program_row_prefix(r, levels);
+    }
+
+    /// Programs the first `levels.len()` cells of a row — the active
+    /// columns of an operand narrower than the array — leaving the rest
+    /// untouched. Counts one row-program event.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `levels` is wider than the row or a level is out of range.
+    pub fn program_row_prefix(&mut self, r: usize, levels: &[u8]) {
+        assert!(levels.len() <= self.cols, "row width mismatch");
         assert!(r < self.rows, "row {r} out of range");
-        let cfg = self.cfg;
-        let base = r * self.cols;
-        for (c, lv) in levels.iter().enumerate() {
-            self.cells[base + c].program_level(&cfg, *lv);
-            self.levels[base + c] = *lv;
-        }
+        self.check_level(levels.iter().copied().max().unwrap_or(0));
+        let span = r * self.cols..r * self.cols + levels.len();
+        self.levels[span.clone()].copy_from_slice(levels);
+        self.writes[span].iter_mut().for_each(|w| *w += 1);
         self.row_programs += 1;
     }
 
@@ -113,17 +131,18 @@ impl Crossbar {
     ///
     /// # Panics
     ///
-    /// Panics if slice lengths differ from the column count.
+    /// Panics if slice lengths differ from the column count or a selected
+    /// level is out of range.
     pub fn program_row_masked(&mut self, r: usize, levels: &[u8], mask: &[bool]) {
         assert_eq!(levels.len(), self.cols, "row width mismatch");
         assert_eq!(mask.len(), self.cols, "mask width mismatch");
         assert!(r < self.rows, "row {r} out of range");
-        let cfg = self.cfg;
         let base = r * self.cols;
-        for c in 0..self.cols {
-            if mask[c] {
-                self.cells[base + c].program_level(&cfg, levels[c]);
-                self.levels[base + c] = levels[c];
+        for (c, (lv, on)) in levels.iter().zip(mask).enumerate() {
+            if *on {
+                self.check_level(*lv);
+                self.levels[base + c] = *lv;
+                self.writes[base + c] += 1;
             }
         }
         self.row_programs += 1;
@@ -132,6 +151,11 @@ impl Crossbar {
     /// Stored level of a cell.
     pub fn level(&self, r: usize, c: usize) -> u8 {
         self.levels[self.idx(r, c)]
+    }
+
+    /// Program operations endured by a cell.
+    pub fn cell_writes(&self, r: usize, c: usize) -> u64 {
+        self.writes[self.idx(r, c)]
     }
 
     /// Idealized integer GEMV over stored levels:
@@ -147,9 +171,7 @@ impl Crossbar {
     }
 
     /// Allocation-free form of [`Crossbar::dot_levels`]: accumulates the
-    /// integer dot products into `out` (which is zeroed first). Walks the
-    /// packed level array, so results are bit-identical to the cell-array
-    /// path while touching a fraction of the memory.
+    /// integer dot products into `out` (which is zeroed first).
     ///
     /// # Panics
     ///
@@ -170,7 +192,8 @@ impl Crossbar {
     }
 
     /// Analog GEMV: row voltages in volts, column currents in microamps,
-    /// using real conductances (optionally noisy).
+    /// using real conductances (optionally noisy, sensed row by row in
+    /// column order via [`CellConfig::sense_us`]).
     ///
     /// # Panics
     ///
@@ -179,10 +202,9 @@ impl Crossbar {
         assert_eq!(volts.len(), self.rows, "input length mismatch");
         let mut out = vec![0f64; self.cols];
         for (r, v) in volts.iter().enumerate() {
-            let row = &self.cells[r * self.cols..(r + 1) * self.cols];
-            for (o, cell) in out.iter_mut().zip(row) {
-                let g = cell.conductance_us(&self.cfg, rng.as_deref_mut());
-                *o += v * g;
+            let row = &self.levels[r * self.cols..(r + 1) * self.cols];
+            for (o, lv) in out.iter_mut().zip(row) {
+                *o += v * self.cfg.sense_us(*lv, rng.as_deref_mut());
             }
         }
         out
@@ -191,15 +213,15 @@ impl Crossbar {
     /// Current wear statistics.
     pub fn wear(&self) -> WearStats {
         WearStats {
-            cell_writes: self.cells.iter().map(|c| c.writes()).sum(),
-            max_cell_writes: self.cells.iter().map(|c| c.writes()).max().unwrap_or(0),
+            cell_writes: self.writes.iter().sum(),
+            max_cell_writes: self.writes.iter().copied().max().unwrap_or(0),
             row_programs: self.row_programs,
         }
     }
 
-    /// Number of cells whose wear exceeds `endurance_writes`.
+    /// Number of cells whose wear reached `endurance_writes`.
     pub fn worn_cells(&self, endurance_writes: u64) -> usize {
-        self.cells.iter().filter(|c| c.is_worn_out(endurance_writes)).count()
+        self.writes.iter().filter(|w| **w >= endurance_writes).count()
     }
 }
 
@@ -291,21 +313,20 @@ mod tests {
     }
 
     #[test]
-    fn packed_levels_mirror_cell_state() {
-        // The packed array is a pure cache of the per-cell levels; every
-        // mutator must keep the two in lockstep.
+    fn prefix_program_leaves_inactive_columns() {
         let mut b = bar();
-        b.program_row(0, &[1, 2, 3]);
-        b.program_row_masked(1, &[4, 5, 6], &[true, false, true]);
-        b.program_cell(3, 2, 9);
-        for r in 0..4 {
-            for c in 0..3 {
-                assert_eq!(b.level(r, c), b.cells[r * b.cols + c].level(), "cell ({r},{c})");
-            }
-        }
-        let mut out = vec![0i64; 3];
-        b.dot_levels_into(&[1, 1, 1, 1], &mut out);
-        assert_eq!(out, b.dot_levels(&[1, 1, 1, 1]));
+        b.program_row(1, &[4, 5, 6]);
+        b.program_row_prefix(1, &[9, 8]);
+        assert_eq!((b.level(1, 0), b.level(1, 1), b.level(1, 2)), (9, 8, 6));
+        assert_eq!((b.cell_writes(1, 0), b.cell_writes(1, 2)), (2, 1));
+        assert_eq!(b.wear().row_programs, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "level 16 out of range")]
+    fn overrange_row_level_panics() {
+        let mut b = bar();
+        b.program_row(0, &[1, 16, 2]);
     }
 
     #[test]
