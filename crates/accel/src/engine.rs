@@ -490,9 +490,7 @@ impl CimAccelerator {
     }
 
     /// Executes a batch of GEMMs sharing dimensions and scales; the
-    /// descriptor table holds `(addr_a, addr_b, addr_c)` triples. Batches
-    /// that share `A` hit tile residency and skip reprogramming — the
-    /// fusion endurance win of Listing 2.
+    /// descriptor table holds `(addr_a, addr_b, addr_c)` triples.
     ///
     /// Independent elements (pairwise disjoint `C` ranges that no other
     /// element reads) are scheduled round-robin onto the disjoint tile
@@ -502,6 +500,17 @@ impl CimAccelerator {
     /// serial sum. Dependent batches fall back to the serial full-grid
     /// chain. Results are identical either way — elements always execute
     /// functionally in index order; only the timing schedule changes.
+    ///
+    /// Tile residency only skips an install when the *same region*
+    /// already holds the element's stationary operand. The round-robin
+    /// `i % nr` placement ignores operand sharing, so on an independent
+    /// batch, consecutive elements that share it (the heads of one
+    /// multi-head micro-batch) land on different regions and each
+    /// reprograms its tiles: a multi-head chain batch installs once per
+    /// element. A shared stationary operand is reused only between
+    /// elements that land on the same region, as every element of the
+    /// serial full-grid chain does — the fusion endurance win of
+    /// Listing 2.
     pub(crate) fn run_gemm_batched(
         &mut self,
         mach: &mut Machine,

@@ -34,7 +34,7 @@ fn bench_fusion(c: &mut Criterion) {
     let mut group = c.benchmark_group("offload_listing2");
     group.sample_size(20);
     for fusion in [true, false] {
-        let mut opts = CompileOptions::with_tactics();
+        let mut opts = CompileOptions::default();
         opts.tactics.fusion = fusion;
         let compiled = compile(LISTING2, &opts).expect("compiles");
         let exec_opts = ExecOptions::default();
@@ -46,7 +46,7 @@ fn bench_fusion(c: &mut Criterion) {
 }
 
 fn bench_wait_policies(c: &mut Criterion) {
-    let compiled = compile(LISTING2, &CompileOptions::with_tactics()).expect("compiles");
+    let compiled = compile(LISTING2, &CompileOptions::default()).expect("compiles");
     let mut group = c.benchmark_group("wait_policy");
     group.sample_size(20);
     let policies = [
@@ -66,7 +66,7 @@ fn bench_wait_policies(c: &mut Criterion) {
 }
 
 fn bench_flush_modes(c: &mut Criterion) {
-    let compiled = compile(LISTING2, &CompileOptions::with_tactics()).expect("compiles");
+    let compiled = compile(LISTING2, &CompileOptions::default()).expect("compiles");
     let mut group = c.benchmark_group("flush_mode");
     group.sample_size(20);
     for (name, flush) in [("ranges", FlushMode::Ranges), ("full", FlushMode::Full)] {

@@ -53,7 +53,7 @@ fn run_chain(
     label: &'static str,
 ) -> ChainRun {
     let wall_t0 = std::time::Instant::now();
-    let mut copts = CompileOptions::with_tactics();
+    let mut copts = CompileOptions::default();
     copts.tactics.fusion = fusion;
     let compiled = compile(&spec.source(), &copts).expect("chain compiles");
     print_pass_reports(label, &compiled);

@@ -72,7 +72,7 @@ pub fn run_fig6_with(dataset: Dataset, exec_opts: &ExecOptions) -> Vec<Fig6Row> 
             let always = tdo_cim::compare(
                 kernel.name(),
                 &src,
-                &CompileOptions::with_tactics(),
+                &CompileOptions::default(),
                 &exec_opts,
                 &init,
             )
@@ -80,7 +80,7 @@ pub fn run_fig6_with(dataset: Dataset, exec_opts: &ExecOptions) -> Vec<Fig6Row> 
 
             // Selective policy: reuse the Always runs when the decision is
             // all-or-nothing; re-run only mixed cases.
-            let mut sel_opts = CompileOptions::with_tactics();
+            let mut sel_opts = CompileOptions::default();
             sel_opts.tactics.policy = OffloadPolicy::Selective;
             let sel_compiled = compile(&src, &sel_opts).expect("compiles");
             print_pass_reports(kernel.name(), &sel_compiled);

@@ -516,7 +516,7 @@ mod tests {
     #[test]
     fn host_and_offloaded_runs_agree_exactly() {
         let host = compile(GEMM, &CompileOptions::host_only()).expect("compiles");
-        let cim = compile(GEMM, &CompileOptions::with_tactics()).expect("compiles");
+        let cim = compile(GEMM, &CompileOptions::default()).expect("compiles");
         let r1 = execute(&host, &small_opts(), &det_init).expect("host runs");
         let r2 = execute(&cim, &small_opts(), &det_init).expect("cim runs");
         assert_eq!(r1.array("C").unwrap(), r2.array("C").unwrap());
@@ -539,7 +539,7 @@ mod tests {
 
     #[test]
     fn offloaded_run_reports_accel_stats() {
-        let cim = compile(GEMM, &CompileOptions::with_tactics()).expect("compiles");
+        let cim = compile(GEMM, &CompileOptions::default()).expect("compiles");
         let r = execute(&cim, &small_opts(), &det_init).expect("runs");
         let acc = r.accel.expect("accelerator used");
         assert!(acc.gemv_count > 0);
@@ -553,7 +553,7 @@ mod tests {
 
     #[test]
     fn timeline_recording() {
-        let cim = compile(GEMM, &CompileOptions::with_tactics()).expect("compiles");
+        let cim = compile(GEMM, &CompileOptions::default()).expect("compiles");
         let opts = ExecOptions { record_timeline: true, ..small_opts() };
         let r = execute(&cim, &opts, &det_init).expect("runs");
         let tl = r.timeline.expect("timeline recorded");
@@ -616,7 +616,7 @@ mod tests {
                     D[i][j] += A[i][k] * B[k][j];
             }
         "#;
-        let cim = compile(src, &CompileOptions::with_tactics()).expect("compiles");
+        let cim = compile(src, &CompileOptions::default()).expect("compiles");
         assert!(cim.pseudo_c().contains("polly_cimBlasGemmBatched"));
         let sync_run = execute(&cim, &small_opts(), &det_init).expect("sync runs");
         let async_opts = small_opts().with_dispatch(DispatchMode::Async);
@@ -753,7 +753,7 @@ mod tests {
 
     #[test]
     fn malloc_targets_found() {
-        let cim = compile(GEMM, &CompileOptions::with_tactics()).expect("compiles");
+        let cim = compile(GEMM, &CompileOptions::default()).expect("compiles");
         let targets = malloc_targets(&cim.prog);
         assert_eq!(targets.len(), 3);
     }

@@ -34,7 +34,7 @@
 //!     if name != "C" { data.iter_mut().enumerate().for_each(|(i, v)| *v = i as f32 % 3.0); }
 //! };
 //! let host = execute(&compile(src, &CompileOptions::host_only())?, &exec_opts, &init)?;
-//! let cim = execute(&compile(src, &CompileOptions::with_tactics())?, &exec_opts, &init)?;
+//! let cim = execute(&compile(src, &CompileOptions::default())?, &exec_opts, &init)?;
 //! assert_eq!(host.array("C"), cim.array("C"));
 //! # Ok(())
 //! # }

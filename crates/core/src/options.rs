@@ -44,19 +44,6 @@ impl CompileOptions {
         CompileOptions { enable_loop_tactics: false, ..CompileOptions::default() }
     }
 
-    /// Transparent CIM offloading (`-enable-loop-tactics`) — the
-    /// default: detection plus the full pass pipeline.
-    pub fn with_tactics() -> Self {
-        CompileOptions::default()
-    }
-
-    /// Offloading plus the offload dataflow graph passes. Kept for
-    /// callers that opted in before the pipeline became the default —
-    /// identical to [`CompileOptions::default`].
-    pub fn with_dataflow() -> Self {
-        CompileOptions::default()
-    }
-
     /// The legacy conservative schedule: detection and lowering only,
     /// every kernel bracketed by point-wise coherence syncs and every
     /// call installing its stationary operand cold. The Selective cost
@@ -203,7 +190,6 @@ mod tests {
     #[test]
     fn presets() {
         assert!(!CompileOptions::host_only().enable_loop_tactics);
-        assert!(CompileOptions::with_tactics().enable_loop_tactics);
         // The default is the full pass pipeline — dataflow needs no opt-in.
         assert_eq!(CompileOptions::default().passes, PassId::all().to_vec());
         assert!(CompileOptions::default().enable_loop_tactics);

@@ -144,7 +144,7 @@ mod tests {
 
     #[test]
     fn tactics_compilation_offloads() {
-        let c = compile(GEMM, &CompileOptions::with_tactics()).expect("compiles");
+        let c = compile(GEMM, &CompileOptions::default()).expect("compiles");
         assert!(c.offloaded());
         assert!(c.pseudo_c().contains("polly_cimBlasSGemm"));
         assert!(c.source_pseudo_c().contains("for ("));
@@ -174,7 +174,7 @@ mod tests {
                 if (i < 4) A[i] = 1.0;
             }
         "#;
-        let c = compile(src, &CompileOptions::with_tactics()).expect("compiles");
+        let c = compile(src, &CompileOptions::default()).expect("compiles");
         assert!(!c.offloaded());
         assert!(c.scop_skipped.is_some());
         assert!(c.pseudo_c().contains("if ("));

@@ -179,7 +179,7 @@ pub trait Backend {
 /// Propagates any [`InterpError`] from evaluation or the backend.
 pub fn run<B: Backend>(prog: &Program, backend: &mut B) -> Result<(), InterpError> {
     let mut env = vec![0i64; prog.vars.len()];
-    let mut interp = Interp { prog, backend, enable_fast: true, fast_loops: HashMap::new() };
+    let mut interp = Interp::new(prog, backend, true);
     interp.exec_block(&prog.body, &mut env)
 }
 
@@ -191,7 +191,7 @@ pub fn run<B: Backend>(prog: &Program, backend: &mut B) -> Result<(), InterpErro
 /// Propagates any [`InterpError`] from evaluation or the backend.
 pub fn run_reference<B: Backend>(prog: &Program, backend: &mut B) -> Result<(), InterpError> {
     let mut env = vec![0i64; prog.vars.len()];
-    let mut interp = Interp { prog, backend, enable_fast: false, fast_loops: HashMap::new() };
+    let mut interp = Interp::new(prog, backend, false);
     interp.exec_block(&prog.body, &mut env)
 }
 
@@ -202,9 +202,21 @@ struct Interp<'p, B: Backend> {
     /// Fast-path templates, keyed by `ForLoop` node address within the
     /// (immutably borrowed) program. `None` caches "not fast-path-able".
     fast_loops: HashMap<usize, Option<fast::FastBody>>,
+    /// Column registers and gather buffers shared by every fast loop.
+    fast_scratch: fast::Scratch,
 }
 
 impl<'p, B: Backend> Interp<'p, B> {
+    fn new(prog: &'p Program, backend: &'p mut B, enable_fast: bool) -> Self {
+        Interp {
+            prog,
+            backend,
+            enable_fast,
+            fast_loops: HashMap::new(),
+            fast_scratch: fast::Scratch::default(),
+        }
+    }
+
     fn exec_block(&mut self, stmts: &[Stmt], env: &mut Vec<i64>) -> Result<(), InterpError> {
         for s in stmts {
             self.exec_stmt(s, env)?;
@@ -261,8 +273,9 @@ impl<'p, B: Backend> Interp<'p, B> {
     }
 
     /// Tries to run `l` through its compiled [`fast::FastBody`]; returns
-    /// `true` when the loop has fully executed (with identical values,
-    /// cost totals and load/store order as the slow path would produce).
+    /// `true` when the loop has fully executed (with identical values and
+    /// cost totals as the slow path would produce, and its load/store order
+    /// unless the backend opted into run batching).
     fn fast_loop(&mut self, l: &ForLoop, lo: i64, hi: i64, env: &mut [i64]) -> bool {
         if !self.enable_fast {
             return false;
@@ -272,9 +285,9 @@ impl<'p, B: Backend> Interp<'p, B> {
             let compiled = fast::FastBody::compile(self.prog, l);
             self.fast_loops.insert(key, compiled);
         }
-        let Interp { fast_loops, backend, .. } = self;
+        let Interp { fast_loops, backend, fast_scratch, .. } = self;
         match fast_loops.get(&key).and_then(|o| o.as_ref()) {
-            Some(body) => body.run(l, lo, hi, env, *backend),
+            Some(body) => body.run(l, lo, hi, env, *backend, fast_scratch),
             None => false,
         }
     }

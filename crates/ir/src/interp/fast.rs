@@ -12,21 +12,45 @@
 //!   index is monotonic in the inner variable);
 //! * the per-iteration cost events are counted structurally at compile
 //!   time and retired in bulk (`cost(ev, n * trips)`) — the cost model
-//!   only observes totals, and the cache simulator orders on the
-//!   `load`/`store` calls, which still issue individually and in the
-//!   exact order of the slow path;
-//! * the assignment value is evaluated from a pre-resolved template with
-//!   the same f32 rounding rules as [`super::Interp::apply_bin`].
+//!   only observes totals;
+//! * the assignment value becomes a flat postfix program over typed
+//!   column registers (`f64` for floats, `i64` for integers). One
+//!   evaluator runs it over a whole column of iterations at a time, one
+//!   tight loop per op, with the slow path's exact value rules: floats
+//!   are widened to `f64` and every arithmetic op rounds through `f32`
+//!   as in [`super::Interp::apply_bin`], `Float` literals stay unrounded
+//!   until an op uses them, `Min`/`Max` compare in `f64`, and integers
+//!   promote `i64 → f64` before any `f32` rounding.
 //!
-//! Anything the template cannot prove (non-affine subscripts, integer
-//! division, multi-statement bodies, an endpoint out of bounds) falls
-//! back to the slow path, so observable behavior — values, cost totals,
-//! errors — is identical by construction.
+//! Memory traffic takes one of two orders:
+//!
+//! * **Batched** (the backend opts in via [`Backend::prefers_bulk_runs`]
+//!   and [`FastBody::runs_may_batch`] proves the loads are unaffected by
+//!   the loop's stores): each chunk of up to [`CHUNK`] iterations gathers
+//!   every load with one [`Backend::load_run`], evaluates the program
+//!   once over the chunk and writes back with one [`Backend::store_run`].
+//!   A loop-carried accumulation `C[i][j] = C[i][j] + r` over the inner
+//!   variable evaluates `r` as a column and folds it sequentially in f32,
+//!   in the template's own operand order (`acc + r` or `r + acc`; also
+//!   `-`, `*`, `/`); other carried shapes run the program once per
+//!   element at column length 1.
+//! * **Element-ordered** (all other backends, and recurrences such as
+//!   `A[i] = A[i-1] + …`): every load and store is issued individually in
+//!   the slow path's order, and the program runs at column length 1.
+//!
+//! Values, cost totals and the final loop variable are bit-identical to
+//! the slow path on both orders. Anything the template cannot prove
+//! (non-affine subscripts, integer division, multi-statement bodies, an
+//! endpoint out of bounds) falls back to the slow path, so errors are
+//! identical by construction.
 
-use super::{Backend, CostEvent, Value};
+use super::{Backend, CostEvent};
 use crate::expr::{Access, BinOp, Expr, UnOp};
 use crate::stmt::{ForLoop, Stmt};
 use crate::types::{ArrayId, Program};
+
+/// Iterations per batched chunk: the column length of the evaluator.
+const CHUNK: usize = 512;
 
 /// Census slots, one per [`CostEvent`] variant.
 const EVENTS: [CostEvent; 10] = [
@@ -181,46 +205,66 @@ fn compile_access(prog: &Program, a: &Access, costs: &mut [u64; 10]) -> Option<A
     Some(AccessPlan { array: a.array, dims, flat })
 }
 
-/// Pre-resolved assignment value. Loads refer into `FastBody::loads` by
-/// position; their flattened addresses are resolved per loop entry.
-enum FastExpr {
-    I(i64),
-    F(f64),
+/// One postfix instruction of a compiled assignment value. Each op pops
+/// its operands from and pushes its result onto the float (`f64`) or the
+/// integer (`i64`) column stack; the structural type of every node is
+/// fixed at compile time (literals and loads are fixed, `Bin` is integer
+/// iff both operands are), which is also what lets the census pick the
+/// right event per operation ahead of time.
+#[derive(Clone, Copy, Debug)]
+enum Op {
+    Int(i64),
+    Float(f64),
     Var(usize),
+    /// Load slot in `FastBody::loads`; gathered per loop entry.
     Load(usize),
-    Neg(Box<FastExpr>),
-    Bin(BinOp, Box<FastExpr>, Box<FastExpr>),
+    /// Integer column to float column (`i64 as f64`, as `Value::as_f64`).
+    Promote,
+    INeg,
+    FNeg,
+    IBin(BinOp),
+    FBin(BinOp),
 }
 
-/// Compiles a value expression, returning the template and whether it is
-/// integer-typed. The structural type exactly predicts the runtime
-/// `Value` variant (literals and loads are fixed, `Bin` is integer iff
-/// both operands are), which is what lets the census pick the right
-/// event per operation ahead of time.
+/// Compiles a value expression into postfix `ops`, returning whether it
+/// is integer-typed.
 fn compile_expr(
     prog: &Program,
     e: &Expr,
     costs: &mut [u64; 10],
     loads: &mut Vec<AccessPlan>,
-) -> Option<(FastExpr, bool)> {
-    match e {
-        Expr::Int(v) => Some((FastExpr::I(*v), true)),
-        Expr::Float(v) => Some((FastExpr::F(*v), false)),
-        Expr::Var(v) => Some((FastExpr::Var(v.0), true)),
+    ops: &mut Vec<Op>,
+) -> Option<bool> {
+    let is_int = match e {
+        Expr::Int(v) => {
+            ops.push(Op::Int(*v));
+            true
+        }
+        Expr::Float(v) => {
+            ops.push(Op::Float(*v));
+            false
+        }
+        Expr::Var(v) => {
+            ops.push(Op::Var(v.0));
+            true
+        }
         Expr::Load(a) => {
             let plan = compile_access(prog, a, costs)?;
             costs[slot(CostEvent::Load)] += 1;
             loads.push(plan);
-            Some((FastExpr::Load(loads.len() - 1), false))
+            ops.push(Op::Load(loads.len() - 1));
+            false
         }
         Expr::Unary(UnOp::Neg, e) => {
-            let (n, is_int) = compile_expr(prog, e, costs, loads)?;
+            let is_int = compile_expr(prog, e, costs, loads, ops)?;
             costs[slot(if is_int { CostEvent::IntAlu } else { CostEvent::FpAdd })] += 1;
-            Some((FastExpr::Neg(Box::new(n)), is_int))
+            ops.push(if is_int { Op::INeg } else { Op::FNeg });
+            is_int
         }
         Expr::Bin(op, l, r) => {
-            let (ln, li) = compile_expr(prog, l, costs, loads)?;
-            let (rn, ri) = compile_expr(prog, r, costs, loads)?;
+            let li = compile_expr(prog, l, costs, loads, ops)?;
+            let mid = ops.len();
+            let ri = compile_expr(prog, r, costs, loads, ops)?;
             let is_int = li && ri;
             let ev = if is_int {
                 match op {
@@ -238,47 +282,164 @@ fn compile_expr(
                 }
             };
             costs[slot(ev)] += 1;
-            Some((FastExpr::Bin(*op, Box::new(ln), Box::new(rn)), is_int))
+            if is_int {
+                ops.push(Op::IBin(*op));
+            } else {
+                // Promote an integer operand while its column is on top.
+                if ri {
+                    ops.push(Op::Promote);
+                }
+                if li {
+                    ops.insert(mid, Op::Promote);
+                }
+                ops.push(Op::FBin(*op));
+            }
+            is_int
         }
+    };
+    Some(is_int)
+}
+
+/// Float and integer column registers, each [`CHUNK`] long. A program
+/// of `n` ops never stacks more than `n` columns of either type.
+#[derive(Default)]
+struct Columns {
+    f: Vec<Vec<f64>>,
+    i: Vec<Vec<i64>>,
+}
+
+/// Per-loop-entry working storage, reused across entries and loops so a
+/// loop entry allocates nothing.
+#[derive(Default)]
+pub(super) struct Scratch {
+    /// Gathered load columns, one per load slot.
+    bufs: Vec<Vec<f32>>,
+    /// Values to store.
+    out: Vec<f32>,
+    /// Resolved `(array, base, stride)` of each load slot.
+    lflat: Vec<(ArrayId, i64, i64)>,
+    cols: Columns,
+}
+
+fn grow<T: Clone + Default>(cols: &mut Vec<Vec<T>>, n: usize) {
+    while cols.len() < n {
+        cols.push(vec![T::default(); CHUNK]);
     }
 }
 
-/// Evaluates a template with loads resolved by `ld` (slot index → value):
-/// a backend load in the scalar path, a pre-gathered run buffer in the
-/// batched path.
-fn eval_expr(e: &FastExpr, env: &[i64], ld: &mut dyn FnMut(usize) -> f64) -> Value {
-    match e {
-        FastExpr::I(v) => Value::I(*v),
-        FastExpr::F(v) => Value::F(*v),
-        FastExpr::Var(v) => Value::I(env[*v]),
-        FastExpr::Load(k) => Value::F(ld(*k)),
-        FastExpr::Neg(e) => match eval_expr(e, env, ld) {
-            Value::I(v) => Value::I(-v),
-            Value::F(v) => Value::F(-v),
-        },
-        FastExpr::Bin(op, l, r) => {
-            let a = eval_expr(l, env, ld);
-            let b = eval_expr(r, env, ld);
-            if let (Value::I(x), Value::I(y)) = (a, b) {
-                return Value::I(match op {
-                    BinOp::Add => x + y,
-                    BinOp::Sub => x - y,
-                    BinOp::Mul => x * y,
-                    BinOp::Min => x.min(y),
-                    BinOp::Max => x.max(y),
-                    BinOp::Div => unreachable!("integer division is rejected at compile time"),
-                });
+/// The iterations one evaluation covers: `n` consecutive elements of
+/// the gathered buffers starting at `at`, the first of which has inner
+/// loop variable `i`.
+#[derive(Clone, Copy)]
+struct Window {
+    at: usize,
+    n: usize,
+    i: i64,
+    step: i64,
+}
+
+fn map2<T: Copy>(x: &mut [T], y: &[T], f: impl Fn(T, T) -> T) {
+    for (a, b) in x.iter_mut().zip(y) {
+        *a = f(*a, *b);
+    }
+}
+
+/// Runs a float-typed postfix program over the window, one loop per op,
+/// and returns its value column. Loads read `bufs[slot][w.at..]`;
+/// `Var(inner)` is the inner variable's progression, any other variable
+/// is loop-invariant and read from `env`.
+fn eval<'c>(
+    ops: &[Op],
+    cols: &'c mut Columns,
+    bufs: &[Vec<f32>],
+    w: Window,
+    env: &[i64],
+    inner: usize,
+) -> &'c [f64] {
+    let n = w.n;
+    let (mut fd, mut id) = (0usize, 0usize);
+    for op in ops {
+        match *op {
+            Op::Int(v) => {
+                cols.i[id][..n].fill(v);
+                id += 1;
             }
-            let (x, y) = (a.as_f64(), b.as_f64());
-            // Same f32 rounding rules as the slow path's apply_bin.
-            Value::F(match op {
-                BinOp::Add => (x as f32 + y as f32) as f64,
-                BinOp::Sub => (x as f32 - y as f32) as f64,
-                BinOp::Mul => (x as f32 * y as f32) as f64,
-                BinOp::Div => (x as f32 / y as f32) as f64,
-                BinOp::Min => x.min(y),
-                BinOp::Max => x.max(y),
-            })
+            Op::Float(v) => {
+                cols.f[fd][..n].fill(v);
+                fd += 1;
+            }
+            Op::Var(v) => {
+                let col = &mut cols.i[id][..n];
+                if v == inner {
+                    for (j, x) in col.iter_mut().enumerate() {
+                        *x = w.i + j as i64 * w.step;
+                    }
+                } else {
+                    col.fill(env[v]);
+                }
+                id += 1;
+            }
+            Op::Load(k) => {
+                for (x, b) in cols.f[fd][..n].iter_mut().zip(&bufs[k][w.at..w.at + n]) {
+                    *x = *b as f64;
+                }
+                fd += 1;
+            }
+            Op::Promote => {
+                id -= 1;
+                for (x, v) in cols.f[fd][..n].iter_mut().zip(&cols.i[id][..n]) {
+                    *x = *v as f64;
+                }
+                fd += 1;
+            }
+            Op::INeg => cols.i[id - 1][..n].iter_mut().for_each(|x| *x = -*x),
+            Op::FNeg => cols.f[fd - 1][..n].iter_mut().for_each(|x| *x = -*x),
+            Op::IBin(op) => {
+                id -= 1;
+                let (lo, hi) = cols.i.split_at_mut(id);
+                let (x, y) = (&mut lo[id - 1][..n], &hi[0][..n]);
+                match op {
+                    BinOp::Add => map2(x, y, |a, b| a + b),
+                    BinOp::Sub => map2(x, y, |a, b| a - b),
+                    BinOp::Mul => map2(x, y, |a, b| a * b),
+                    BinOp::Min => map2(x, y, i64::min),
+                    BinOp::Max => map2(x, y, i64::max),
+                    BinOp::Div => unreachable!("integer division is rejected at compile time"),
+                }
+            }
+            Op::FBin(op) => {
+                fd -= 1;
+                let (lo, hi) = cols.f.split_at_mut(fd);
+                let (x, y) = (&mut lo[fd - 1][..n], &hi[0][..n]);
+                // Same f32 rounding rules as the slow path's apply_bin.
+                match op {
+                    BinOp::Add => map2(x, y, |a, b| (a as f32 + b as f32) as f64),
+                    BinOp::Sub => map2(x, y, |a, b| (a as f32 - b as f32) as f64),
+                    BinOp::Mul => map2(x, y, |a, b| (a as f32 * b as f32) as f64),
+                    BinOp::Div => map2(x, y, |a, b| (a as f32 / b as f32) as f64),
+                    BinOp::Min => map2(x, y, f64::min),
+                    BinOp::Max => map2(x, y, f64::max),
+                }
+            }
+        }
+    }
+    debug_assert_eq!((fd, id), (1, 0), "value programs leave one float column");
+    &cols.f[0][..n]
+}
+
+/// The loop-carried fold: `out[j] = acc = f(acc, r[j])` with the carried
+/// value on the `left`, else `f(r[j], acc)`; `r` rounds through f32 as
+/// the slow path's operand would.
+fn carried_fold(mut acc: f32, left: bool, r: &[f64], out: &mut [f32], f: impl Fn(f32, f32) -> f32) {
+    if left {
+        for (o, r) in out.iter_mut().zip(r) {
+            acc = f(acc, *r as f32);
+            *o = acc;
+        }
+    } else {
+        for (o, r) in out.iter_mut().zip(r) {
+            acc = f(*r as f32, acc);
+            *o = acc;
         }
     }
 }
@@ -288,7 +449,11 @@ fn eval_expr(e: &FastExpr, env: &[i64], ld: &mut dyn FnMut(usize) -> f64) -> Val
 pub(super) struct FastBody {
     target: AccessPlan,
     loads: Vec<AccessPlan>,
-    value: FastExpr,
+    /// The value as a float-typed postfix program.
+    ops: Vec<Op>,
+    /// `(slot, carried_on_left)` for each direct `Load` operand of a
+    /// root f32 arithmetic op: the candidates for the carried fold.
+    folds: Vec<(usize, bool)>,
     /// Cost events one iteration emits on the slow path, by [`EVENTS`] slot.
     costs: [u64; 10],
 }
@@ -306,12 +471,24 @@ impl FastBody {
         costs[slot(CostEvent::Cmp)] += 1;
         costs[slot(CostEvent::Branch)] += 1;
         costs[slot(CostEvent::IntAlu)] += 1;
-        let mut loads = Vec::new();
+        let (mut loads, mut ops) = (Vec::new(), Vec::new());
         // Body order mirrors the slow path: value first, then target.
-        let (value, _) = compile_expr(prog, &a.value, &mut costs, &mut loads)?;
+        if compile_expr(prog, &a.value, &mut costs, &mut loads, &mut ops)? {
+            ops.push(Op::Promote); // the store widens an integer value
+        }
         let target = compile_access(prog, &a.target, &mut costs)?;
         costs[slot(CostEvent::Store)] += 1;
-        Some(FastBody { target, loads, value, costs })
+        // Postfix `[Load k] [rest…] FBin(op)` or `[rest…] [Load k] FBin(op)`.
+        let mut folds = Vec::new();
+        if let Expr::Bin(BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div, l, r) = &a.value {
+            if let (Expr::Load(_), Op::Load(k)) = (&**l, ops[0]) {
+                folds.push((k, true));
+            }
+            if let (Expr::Load(_), Op::Load(k)) = (&**r, ops[ops.len() - 2]) {
+                folds.push((k, false));
+            }
+        }
+        Some(FastBody { target, loads, ops, folds, costs })
     }
 
     /// Executes the loop if the whole iteration space is provably in
@@ -324,6 +501,7 @@ impl FastBody {
         hi: i64,
         env: &mut [i64],
         backend: &mut B,
+        scratch: &mut Scratch,
     ) -> bool {
         let inner = l.var.0;
         if hi <= lo {
@@ -350,14 +528,14 @@ impl FastBody {
             Some((plan.flat.base(env, inner), plan.flat.coeffs[inner]))
         };
         let Some(tflat) = resolve(&self.target) else { return false };
-        let mut lflat = Vec::with_capacity(self.loads.len());
+        scratch.lflat.clear();
         for plan in &self.loads {
             let Some((base, stride)) = resolve(plan) else { return false };
-            lflat.push((plan.array, base, stride));
+            scratch.lflat.push((plan.array, base, stride));
         }
         // Retire the whole loop's census in bulk. The cost model only
         // accumulates totals; ordering is observable solely through
-        // load/store, which the loop below still issues one by one.
+        // load/store.
         for (ev, n) in EVENTS.iter().zip(&self.costs) {
             if *n > 0 {
                 backend.cost(*ev, n * trips as u64);
@@ -366,21 +544,25 @@ impl FastBody {
         // Loop exit check.
         backend.cost(CostEvent::Cmp, 1);
         backend.cost(CostEvent::Branch, 1);
-        if backend.prefers_bulk_runs() && self.runs_may_batch(tflat, &lflat, lo, last) {
-            self.run_batched(l.step, lo, trips, tflat, &lflat, env, inner, backend);
-            return true;
+        grow(&mut scratch.bufs, self.loads.len());
+        grow(&mut scratch.cols.f, self.ops.len());
+        grow(&mut scratch.cols.i, self.ops.len());
+        scratch.out.resize(CHUNK, 0.0);
+        if backend.prefers_bulk_runs() && self.runs_may_batch(tflat, &scratch.lflat, lo, last) {
+            self.run_batched(l.step, lo, trips, tflat, env, inner, backend, scratch);
+        } else {
+            let Scratch { bufs, lflat, cols, .. } = scratch;
+            for t in 0..trips {
+                let i = lo + t * l.step;
+                for (buf, &(arr, base, stride)) in bufs.iter_mut().zip(lflat.iter()) {
+                    buf[0] = backend.load(arr, (base + stride * i) as usize);
+                }
+                let w = Window { at: 0, n: 1, i, step: l.step };
+                let v = eval(&self.ops, cols, bufs, w, env, inner)[0];
+                backend.store(self.target.array, (tflat.0 + tflat.1 * i) as usize, v as f32);
+            }
         }
-        let mut i = lo;
-        while i < hi {
-            env[inner] = i;
-            let v = eval_expr(&self.value, env, &mut |k| {
-                let (arr, base, stride) = lflat[k];
-                backend.load(arr, (base + stride * i) as usize) as f64
-            })
-            .as_f64();
-            backend.store(self.target.array, (tflat.0 + tflat.1 * i) as usize, v as f32);
-            i += l.step;
-        }
+        env[inner] = last;
         true
     }
 
@@ -425,10 +607,10 @@ impl FastBody {
         true
     }
 
-    /// Batched execution: gather each load plan's chunk with one
-    /// [`Backend::load_run`], evaluate the chunk from the buffers, write
-    /// it back with one [`Backend::store_run`]. Values and cost totals
-    /// are identical to the element loop (guarded by
+    /// Batched execution: gather each load slot's chunk with one
+    /// [`Backend::load_run`], evaluate the chunk as columns, write it back
+    /// with one [`Backend::store_run`]. Values and cost totals are
+    /// identical to the element loop (guarded by
     /// [`FastBody::runs_may_batch`]); only the access interleaving
     /// changes, which is exactly what a run-capable backend asks for via
     /// [`Backend::prefers_bulk_runs`].
@@ -439,13 +621,12 @@ impl FastBody {
         lo: i64,
         trips: i64,
         tflat: (i64, i64),
-        lflat: &[(ArrayId, i64, i64)],
-        env: &mut [i64],
+        env: &[i64],
         inner: usize,
         backend: &mut B,
+        scratch: &mut Scratch,
     ) {
-        const CHUNK: usize = 512;
-        let width = CHUNK.min(trips as usize);
+        let Scratch { bufs, out, lflat, cols } = scratch;
         // With a zero store stride, loads of the same (base, stride) form a
         // loop-carried accumulation (`C[i][j] += A[i][k] * B[k][j]` over k):
         // each iteration reads the value the previous one stored. Those
@@ -453,44 +634,63 @@ impl FastBody {
         // the f32 operation chain is the scalar loop's, bit for bit — while
         // the gather and writeback still issue the same number of accesses
         // to the target's line as the element loop did.
-        let carried: Vec<bool> = lflat
-            .iter()
-            .map(|&(arr, base, stride)| {
-                tflat.1 == 0 && arr == self.target.array && (base, stride) == tflat
-            })
-            .collect();
-        let carry = carried.iter().any(|&c| c);
-        let mut acc = 0f32;
-        let mut bufs: Vec<Vec<f32>> = vec![vec![0.0; width]; lflat.len()];
-        let mut out = vec![0.0f32; width];
+        let target = self.target.array;
+        let carried = |&(arr, base, stride): &(ArrayId, i64, i64)| {
+            tflat.1 == 0 && arr == target && (base, stride) == tflat
+        };
+        let first_carried = lflat.iter().position(carried);
+        // A single carried slot that is a direct operand of the root op
+        // folds the rest of the value, evaluated as one column.
+        let fold = first_carried
+            .filter(|_| lflat.iter().filter(|x| carried(x)).count() == 1)
+            .and_then(|k| self.folds.iter().find(|f| f.0 == k))
+            .map(|f| f.1);
+        let n = self.ops.len();
         let mut t0: i64 = 0;
         while t0 < trips {
             let m = CHUNK.min((trips - t0) as usize);
             let i0 = lo + t0 * step;
-            for (buf, &(arr, base, stride)) in bufs.iter_mut().zip(lflat) {
+            for (buf, &(arr, base, stride)) in bufs.iter_mut().zip(lflat.iter()) {
                 backend.load_run(arr, base + stride * i0, stride * step, &mut buf[..m]);
             }
-            if carry {
-                // The target cell's current value; at chunk boundaries the
-                // previous writeback left it equal to the carried register.
-                let k = carried.iter().position(|&c| c).expect("carry set");
-                acc = bufs[k][0];
-            }
-            for (j, slot) in out[..m].iter_mut().enumerate() {
-                env[inner] = i0 + j as i64 * step;
-                *slot = eval_expr(&self.value, env, &mut |k| {
-                    if carried[k] {
-                        acc as f64
-                    } else {
-                        bufs[k][j] as f64
+            let chunk = Window { at: 0, n: m, i: i0, step };
+            let out = &mut out[..m];
+            match (first_carried, fold) {
+                (None, _) => {
+                    let v = eval(&self.ops, cols, bufs, chunk, env, inner);
+                    for (o, v) in out.iter_mut().zip(v) {
+                        *o = *v as f32;
                     }
-                })
-                .as_f64() as f32;
-                if carry {
-                    acc = *slot;
+                }
+                (Some(k), Some(left)) => {
+                    // The target cell's current value; at chunk boundaries
+                    // the previous writeback left it equal to the register.
+                    let acc = bufs[k][0];
+                    let rest = if left { &self.ops[1..n - 1] } else { &self.ops[..n - 2] };
+                    let r = eval(rest, cols, bufs, chunk, env, inner);
+                    match self.ops[n - 1] {
+                        Op::FBin(BinOp::Add) => carried_fold(acc, left, r, out, |a, b| a + b),
+                        Op::FBin(BinOp::Sub) => carried_fold(acc, left, r, out, |a, b| a - b),
+                        Op::FBin(BinOp::Mul) => carried_fold(acc, left, r, out, |a, b| a * b),
+                        Op::FBin(BinOp::Div) => carried_fold(acc, left, r, out, |a, b| a / b),
+                        _ => unreachable!("folds root at an f32 arithmetic op"),
+                    }
+                }
+                (Some(k), None) => {
+                    let mut acc = bufs[k][0];
+                    for (j, o) in out.iter_mut().enumerate() {
+                        for (buf, x) in bufs.iter_mut().zip(lflat.iter()) {
+                            if carried(x) {
+                                buf[j] = acc;
+                            }
+                        }
+                        let w = Window { at: j, n: 1, i: i0 + j as i64 * step, step };
+                        acc = eval(&self.ops, cols, bufs, w, env, inner)[0] as f32;
+                        *o = acc;
+                    }
                 }
             }
-            backend.store_run(self.target.array, tflat.0 + tflat.1 * i0, tflat.1 * step, &out[..m]);
+            backend.store_run(target, tflat.0 + tflat.1 * i0, tflat.1 * step, out);
             t0 += m as i64;
         }
     }

@@ -11,7 +11,7 @@ use workloads::chain::init_fn;
 use workloads::ChainSpec;
 
 fn run_chain(spec: &ChainSpec, dispatch: DispatchMode) -> (RunResult, tdo_cim::CompiledProgram) {
-    let compiled = compile(&spec.source(), &CompileOptions::with_tactics()).expect("compiles");
+    let compiled = compile(&spec.source(), &CompileOptions::default()).expect("compiles");
     let opts = ExecOptions {
         machine: cim_machine::MachineConfig::test_small(),
         accel: cim_accel::AccelConfig::test_small().with_grid(2, 2),

@@ -33,7 +33,7 @@ fn run(fusion: bool, dataflow: bool) -> Result<(u64, f64, String), Box<dyn std::
     // default pipeline's pin placement would keep `A` resident and erase
     // the per-call reprogramming this example measures.
     let mut opts =
-        if dataflow { CompileOptions::with_tactics() } else { CompileOptions::without_dataflow() };
+        if dataflow { CompileOptions::default() } else { CompileOptions::without_dataflow() };
     opts.tactics.fusion = fusion;
     let compiled = compile(LISTING2, &opts)?;
     let calls = compiled

@@ -15,7 +15,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("=== source (PolyBench gemm, N = 64) ===\n{src}");
 
     let host = compile(&src, &CompileOptions::host_only())?;
-    let cim = compile(&src, &CompileOptions::with_tactics())?;
+    let cim = compile(&src, &CompileOptions::default())?;
 
     println!("=== after Loop Tactics (-enable-loop-tactics) ===");
     println!("{}", cim.pseudo_c());

@@ -21,7 +21,7 @@ const SRC: &str = r#"
 "#;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let compiled = compile(SRC, &CompileOptions::with_tactics())?;
+    let compiled = compile(SRC, &CompileOptions::default())?;
     let opts = ExecOptions { record_timeline: true, ..ExecOptions::default() };
     let init = |name: &str, data: &mut [f32]| {
         let seed = name.len();

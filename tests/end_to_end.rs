@@ -26,7 +26,7 @@ fn all_kernels_match_reference_on_host() {
 #[test]
 fn all_kernels_match_reference_with_cim_offload() {
     for kernel in Kernel::ALL_EXTENDED {
-        let r = run_kernel(kernel, Dataset::Mini, &CompileOptions::with_tactics());
+        let r = run_kernel(kernel, Dataset::Mini, &CompileOptions::default());
         assert!(r.accel.is_some(), "{} was not offloaded", kernel.name());
         for (name, expect) in reference_outputs(kernel, Dataset::Mini) {
             let got = r.array(&name).unwrap_or_else(|| panic!("{}: no {name}", kernel.name()));
@@ -41,7 +41,7 @@ fn every_kernel_is_detected_and_offloaded() {
     // user annotations.
     for kernel in Kernel::ALL_EXTENDED {
         let src = source(kernel, Dataset::Mini);
-        let compiled = compile(&src, &CompileOptions::with_tactics()).expect("compiles");
+        let compiled = compile(&src, &CompileOptions::default()).expect("compiles");
         let report = compiled.report.expect("tactics ran");
         assert!(report.any_offloaded(), "{}: {report}", kernel.name());
         let expected_kernels = match kernel {
@@ -65,7 +65,7 @@ fn every_kernel_is_detected_and_offloaded() {
 fn gemv_like_kernels_emit_gemv_calls_gemm_like_emit_gemm() {
     for kernel in Kernel::ALL {
         let src = source(kernel, Dataset::Mini);
-        let compiled = compile(&src, &CompileOptions::with_tactics()).expect("compiles");
+        let compiled = compile(&src, &CompileOptions::default()).expect("compiles");
         let text = compiled.pseudo_c();
         match kernel {
             Kernel::Conv => assert!(text.contains("polly_cimConv2d"), "{text}"),
@@ -87,7 +87,7 @@ fn threemm_fuses_its_independent_pair() {
     // E = A*B and F = C*D are independent and same-shape: the fusion pass
     // must batch them; G = E*F depends on both and must stay separate.
     let src = source(Kernel::ThreeMm, Dataset::Mini);
-    let compiled = compile(&src, &CompileOptions::with_tactics()).expect("compiles");
+    let compiled = compile(&src, &CompileOptions::default()).expect("compiles");
     let report = compiled.report.as_ref().expect("tactics ran");
     assert_eq!(report.fused_groups, 1, "{report}");
     let text = compiled.pseudo_c();
@@ -100,12 +100,12 @@ fn gemm_like_wins_gemv_like_loses_on_energy() {
     // The headline shape of Fig. 6 at small scale: gemm improves with
     // offloading, mvt regresses (write-dominated, spin-wait overhead).
     let gemm_host = run_kernel(Kernel::Gemm, Dataset::Small, &CompileOptions::host_only());
-    let gemm_cim = run_kernel(Kernel::Gemm, Dataset::Small, &CompileOptions::with_tactics());
+    let gemm_cim = run_kernel(Kernel::Gemm, Dataset::Small, &CompileOptions::default());
     let gemm_gain = gemm_host.total_energy() / gemm_cim.total_energy();
     assert!(gemm_gain > 2.0, "gemm energy gain {gemm_gain}");
 
     let mvt_host = run_kernel(Kernel::Mvt, Dataset::Small, &CompileOptions::host_only());
-    let mvt_cim = run_kernel(Kernel::Mvt, Dataset::Small, &CompileOptions::with_tactics());
+    let mvt_cim = run_kernel(Kernel::Mvt, Dataset::Small, &CompileOptions::default());
     let mvt_gain = mvt_host.total_energy() / mvt_cim.total_energy();
     assert!(mvt_gain < 1.0, "mvt energy gain {mvt_gain} should be a loss");
 }
@@ -114,8 +114,8 @@ fn gemm_like_wins_gemv_like_loses_on_energy() {
 fn compute_intensity_separates_the_classes() {
     // MACs per CIM write (Fig. 6 left, right axis): GEMM-like kernels sit
     // far above GEMV-like ones.
-    let gemm = run_kernel(Kernel::Gemm, Dataset::Small, &CompileOptions::with_tactics());
-    let mvt = run_kernel(Kernel::Mvt, Dataset::Small, &CompileOptions::with_tactics());
+    let gemm = run_kernel(Kernel::Gemm, Dataset::Small, &CompileOptions::default());
+    let mvt = run_kernel(Kernel::Mvt, Dataset::Small, &CompileOptions::default());
     let (g, m) = (gemm.macs_per_write(), mvt.macs_per_write());
     assert!(g > 10.0 * m, "gemm {g} vs mvt {m}");
     assert!(m <= 1.5, "mvt intensity {m} must be ~1");

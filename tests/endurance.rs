@@ -120,9 +120,9 @@ fn fusion_doubles_projected_lifetime() {
 
 #[test]
 fn fused_and_unfused_compute_identical_results() {
-    let mut with = CompileOptions::with_tactics();
+    let mut with = CompileOptions::default();
     with.tactics.fusion = true;
-    let mut without = CompileOptions::with_tactics();
+    let mut without = CompileOptions::default();
     without.tactics.fusion = false;
     let init = |name: &str, data: &mut [f32]| {
         let seed = name.len();

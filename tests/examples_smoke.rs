@@ -12,7 +12,7 @@ fn quickstart_walkthrough_runs() {
     let src = source(Kernel::Gemm, Dataset::Small);
 
     let host = compile(&src, &CompileOptions::host_only()).expect("host compile");
-    let cim = compile(&src, &CompileOptions::with_tactics()).expect("tactics compile");
+    let cim = compile(&src, &CompileOptions::default()).expect("tactics compile");
 
     // The rewritten program advertises the runtime calls of Listing 1.
     let pseudo = cim.pseudo_c();

@@ -8,7 +8,7 @@ use tdo_cim::{compile, execute, CompileOptions, ExecOptions};
 #[test]
 fn int8_gemm_tracks_exact_within_bound() {
     let src = source(Kernel::Gemm, Dataset::Mini);
-    let compiled = compile(&src, &CompileOptions::with_tactics()).expect("compiles");
+    let compiled = compile(&src, &CompileOptions::default()).expect("compiles");
     let init = init_fn(Kernel::Gemm);
     let exact = execute(&compiled, &ExecOptions::default(), &init).expect("exact runs");
     let opts = ExecOptions { fidelity: Fidelity::Int8, ..ExecOptions::default() };
@@ -32,7 +32,7 @@ fn int8_energy_equals_exact_energy() {
     // Fidelity changes values, never costs: the paper's evaluation is
     // value-independent.
     let src = source(Kernel::Gemm, Dataset::Mini);
-    let compiled = compile(&src, &CompileOptions::with_tactics()).expect("compiles");
+    let compiled = compile(&src, &CompileOptions::default()).expect("compiles");
     let init = init_fn(Kernel::Gemm);
     let exact = execute(&compiled, &ExecOptions::default(), &init).expect("runs");
     let opts = ExecOptions { fidelity: Fidelity::Int8, ..ExecOptions::default() };

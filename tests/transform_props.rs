@@ -101,7 +101,7 @@ proptest! {
         // call semantics.
         let (src, _) = build_program(m, n, k, alpha, false);
         let host = tdo_cim::compile(&src, &tdo_cim::CompileOptions::host_only()).expect("c");
-        let cim = tdo_cim::compile(&src, &tdo_cim::CompileOptions::with_tactics()).expect("c");
+        let cim = tdo_cim::compile(&src, &tdo_cim::CompileOptions::default()).expect("c");
         prop_assume!(cim.offloaded());
         let reference = run_all(&host.prog);
         let got = run_all(&cim.prog);
